@@ -412,9 +412,9 @@ func BenchmarkGearedThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineParallelVsSequential contrasts the two round engines on
-// the same workload (the goroutine engine pays synchronization for
-// per-processor parallelism).
+// BenchmarkEngineParallelVsSequential contrasts the sequential and
+// parallel drive modes on the same workload (the parallel mode pays
+// synchronization for per-processor parallelism).
 func BenchmarkEngineParallelVsSequential(b *testing.B) {
 	for _, mode := range []struct {
 		name     string

@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"shiftgears/internal/experiments"
 )
@@ -54,13 +53,11 @@ func run(args []string, out io.Writer) error {
 	}
 
 	for _, e := range experiments.All() {
-		start := time.Now()
 		tab, err := e.Run()
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Fprint(out, tab.Markdown())
-		fmt.Fprintf(out, "*(generated in %v)*\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	return nil
 }

@@ -35,12 +35,11 @@ func reservePorts(t *testing.T, n int) []string {
 	return addrs
 }
 
-func TestLogServerEndToEnd(t *testing.T) {
-	const n = 4
-	addrs := reservePorts(t, n)
-	list := strings.Join(addrs, ",")
-
-	cmds := []string{"11,12,13", "21", "", ""}
+// runReplicas runs n logserver replicas concurrently, replica id with
+// args(id) plus the shared -id/-n/-addrs flags, and returns their outputs.
+func runReplicas(t *testing.T, n int, args func(id int) []string) []string {
+	t.Helper()
+	list := strings.Join(reservePorts(t, n), ",")
 	var wg sync.WaitGroup
 	outs := make([]strings.Builder, n)
 	errs := make([]error, n)
@@ -48,29 +47,36 @@ func TestLogServerEndToEnd(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			args := []string{
-				"-id", fmt.Sprint(id), "-n", "4", "-t", "1",
-				"-slots", "8", "-window", "2", "-batch", "2",
-				"-addrs", list, "-cmds", cmds[id],
-			}
-			if id == 3 {
-				args = append(args, "-byzantine", "splitbrain")
-			}
-			errs[id] = run(args, &outs[id])
+			argv := append([]string{"-id", fmt.Sprint(id), "-n", fmt.Sprint(n), "-addrs", list}, args(id)...)
+			errs[id] = run(argv, &outs[id])
 		}(id)
 	}
 	wg.Wait()
+	res := make([]string, n)
 	for id, err := range errs {
 		if err != nil {
 			t.Fatalf("replica %d: %v\n%s", id, err, outs[id].String())
 		}
+		res[id] = outs[id].String()
 	}
+	return res
+}
+
+func TestLogServerEndToEnd(t *testing.T) {
+	cmds := []string{"11,12,13", "21", "", ""}
+	outs := runReplicas(t, 4, func(id int) []string {
+		args := []string{"-t", "1", "-slots", "8", "-window", "2", "-batch", "2", "-cmds", cmds[id]}
+		if id == 3 {
+			args = append(args, "-byzantine", "splitbrain")
+		}
+		return args
+	})
 
 	// Correct replicas print identical snapshots carrying every command a
 	// correct replica proposed.
 	var snapshot string
 	for id := 0; id < 3; id++ {
-		out := outs[id].String()
+		out := outs[id]
 		i := strings.Index(out, "snapshot")
 		if i < 0 {
 			t.Fatalf("replica %d printed no snapshot:\n%s", id, out)
@@ -88,7 +94,32 @@ func TestLogServerEndToEnd(t *testing.T) {
 			t.Errorf("snapshot %q misses command %s", snapshot, cmd)
 		}
 	}
-	if !strings.Contains(outs[3].String(), "BYZANTINE (splitbrain)") {
+	if !strings.Contains(outs[3], "BYZANTINE (splitbrain)") {
+		t.Error("byzantine banner missing")
+	}
+}
+
+// TestLogServerOneSlotEndToEnd: a single agreement instance over a
+// multi-process mesh is a 1-slot log. Replica 0 sources the value 7,
+// replica 3 is a split-brain Byzantine, and every correct replica commits
+// [7] in slot 0.
+func TestLogServerOneSlotEndToEnd(t *testing.T) {
+	outs := runReplicas(t, 4, func(id int) []string {
+		args := []string{"-t", "1", "-alg", "exponential", "-slots", "1", "-window", "1", "-batch", "1"}
+		switch id {
+		case 0:
+			args = append(args, "-cmds", "7")
+		case 3:
+			args = append(args, "-byzantine", "splitbrain")
+		}
+		return args
+	})
+	for id := 0; id < 3; id++ {
+		if want := fmt.Sprintf("replica %d: slot 0 (source 0) committed [7]", id); !strings.Contains(outs[id], want) {
+			t.Errorf("replica %d did not commit [7] in slot 0:\n%s", id, outs[id])
+		}
+	}
+	if !strings.Contains(outs[3], "BYZANTINE (splitbrain)") {
 		t.Error("byzantine banner missing")
 	}
 }
@@ -203,5 +234,22 @@ func TestLogServerValidation(t *testing.T) {
 	}
 	if err := run([]string{"-addrs", "a,b,c,d", "-byzantine", "bogus"}, &out); err == nil {
 		t.Error("unknown strategy accepted")
+	}
+}
+
+// TestLogServerOneSlotValidation: the single-instance (1-slot) invocation
+// rejects bad configurations before it touches the network.
+func TestLogServerOneSlotValidation(t *testing.T) {
+	oneSlot := []string{"-slots", "1", "-window", "1", "-batch", "1", "-cmds", "7"}
+	var out strings.Builder
+	if err := run(append([]string{"-alg", "exponential", "-n", "4", "-addrs", "a,b"}, oneSlot...), &out); err == nil {
+		t.Error("addrs/n mismatch accepted")
+	}
+	if err := run(append([]string{"-alg", "bogus", "-addrs", "a,b,c,d"}, oneSlot...), &out); err == nil {
+		t.Error("unknown algorithm accepted")
+	}
+	if err := run(append([]string{"-alg", "exponential", "-n", "5", "-t", "2",
+		"-addrs", "a,b,c,d,e"}, oneSlot...), &out); err == nil {
+		t.Error("bad resilience accepted")
 	}
 }

@@ -33,7 +33,9 @@
 //
 // The Result reports every processor's decision, whether agreement and
 // validity held, exact round counts against the paper's bounds, message
-// sizes, and the fault-discovery timeline.
+// sizes, and the fault-discovery timeline. A single run is a
+// one-instance, window-1 schedule per processor driven by the same loop
+// as the replicated log below (fabric.RunRounds over fabric.Run).
 //
 // # Multi-shot agreement: the replicated log
 //
@@ -92,7 +94,8 @@
 //     Deliver, cross-node frame validation, completion and divergence
 //     detection, teardown on error, traffic statistics, and the
 //     reusable per-tick scratch that keeps the hot path
-//     allocation-free. It is the only mux drive loop in the tree.
+//     allocation-free. It is the only drive loop in the tree: single-shot
+//     runs enter it through fabric.RunRounds.
 //   - A fabric (the fabric.Fabric interface) owns one tick's message
 //     motion: given every hosted node's frames it fills every hosted
 //     node's inboxes and returns — the lockstep barrier. Ordering
@@ -116,16 +119,16 @@
 //
 // # Ordering on the concurrent TCP exchange
 //
-// The TCP paths (transport.Node.Run and the Mesh fabric's per-tick
-// exchange) overlap their send and receive halves: one writer goroutine
-// per peer pushes the tick's frames while the node's reader collects,
-// so the mesh cannot deadlock when a tick's payload exceeds the kernel
-// socket buffers. The bytes are unchanged: within a tick each peer
-// connection carries the frames in increasing instance order with a
-// single flush, and tick t's writes complete before tick t+1's begin,
-// so receivers read exactly the sequential loop's stream — only the
-// interleaving across connections differs. The lockstep barrier (finish
-// tick t only once every peer's tick-t frames arrived) is untouched.
+// The TCP path (the Mesh fabric's per-tick exchange) overlaps its send
+// and receive halves: one writer goroutine per peer pushes the tick's
+// frames while the node's reader collects, so the mesh cannot deadlock
+// when a tick's payload exceeds the kernel socket buffers. The bytes are
+// unchanged: within a tick each peer connection carries the frames in
+// increasing instance order with a single flush, and tick t's writes
+// complete before tick t+1's begin, so receivers read exactly the
+// sequential loop's stream — only the interleaving across connections
+// differs. The lockstep barrier (finish tick t only once every peer's
+// tick-t frames arrived) is untouched.
 //
 // # Wire hot path
 //

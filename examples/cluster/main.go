@@ -1,7 +1,8 @@
 // Cluster runs Byzantine agreement over a real loopback TCP mesh — every
-// message crosses an actual socket — using the same replicas as the
-// in-process engine. For a multi-process (or multi-machine) deployment of
-// the same thing, see cmd/node.
+// message crosses an actual socket — using the same replicas and the same
+// drive loop (fabric.RunRounds) as the in-process engine. For a
+// multi-process (or multi-machine) deployment of the same thing, run
+// cmd/logserver as a 1-slot log: -slots 1 -window 1 -batch 1.
 package main
 
 import (
@@ -11,6 +12,7 @@ import (
 	"shiftgears"
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/core"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 	"shiftgears/internal/transport"
 )
@@ -50,15 +52,15 @@ func main() {
 		}
 	}
 
-	cluster, err := transport.NewCluster(procs)
+	mesh, err := transport.NewMesh(n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer cluster.Close()
+	defer func() { _ = mesh.Close() }()
 
 	fmt.Printf("running the hybrid algorithm (n=%d, t=%d, b=%d) over %d TCP nodes,\n", n, t, b, n)
 	fmt.Printf("with a split-brain source and three colluders...\n\n")
-	stats, err := cluster.Run(plan.TotalRounds)
+	stats, err := fabric.RunRounds(mesh, procs, plan.TotalRounds)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,7 +83,7 @@ func main() {
 		}
 	}
 	fmt.Printf("agreement over real sockets: %v (decision %d)\n", agreed, common)
-	fmt.Printf("rounds: %d, max message: %dB, node-0 traffic: %d messages / %d bytes\n",
+	fmt.Printf("rounds: %d, max message: %dB, cluster-wide traffic: %d messages / %d bytes\n",
 		stats.Rounds, stats.MaxPayload, stats.Messages, stats.Bytes)
 	fmt.Println("\nSame replicas, same guarantees as the in-process engine — the lockstep")
 	fmt.Println("barrier over TCP realizes the paper's synchronous model on real I/O.")

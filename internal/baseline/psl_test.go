@@ -5,6 +5,7 @@ import (
 
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 )
 
@@ -39,11 +40,11 @@ func runPSL(t *testing.T, n, tt int, val eigtree.Value, faulty []int, strat stri
 			procs[id] = rep
 		}
 	}
-	nw, err := sim.NewNetwork(procs)
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(tt + 1); err != nil {
+	if _, err := fabric.RunRounds(fab, procs, tt+1); err != nil {
 		t.Fatal(err)
 	}
 	for id, rep := range reps {

@@ -8,6 +8,7 @@ import (
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/core"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 )
 
@@ -112,11 +113,11 @@ func runVector(t *testing.T, alg core.Algorithm, n, tt, b int, inputs []eigtree.
 			procs[id] = rep
 		}
 	}
-	nw, err := sim.NewNetwork(procs)
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(env.Rounds()); err != nil {
+	if _, err := fabric.RunRounds(fab, procs, env.Rounds()); err != nil {
 		t.Fatal(err)
 	}
 	for id, rep := range reps {

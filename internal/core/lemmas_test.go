@@ -8,6 +8,7 @@ import (
 
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 )
 
@@ -238,19 +239,18 @@ func runLemma(t *testing.T, plan *Plan, faulty []int, strat string, hook func(ro
 			procs[id] = rep
 		}
 	}
-	wrapped := func(round int) { hook(round, &rr) }
-	if hook == nil {
-		wrapped = nil
+	var opts []fabric.Option
+	if hook != nil {
+		opts = append(opts, fabric.WithTickHook(func(round int) error {
+			hook(round, &rr)
+			return nil
+		}))
 	}
-	var opts []sim.Option
-	if wrapped != nil {
-		opts = append(opts, sim.WithRoundHook(wrapped))
-	}
-	nw, err := sim.NewNetwork(procs, opts...)
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.stats, err = nw.Run(plan.TotalRounds); err != nil {
+	if rr.stats, err = fabric.RunRounds(fab, procs, plan.TotalRounds, opts...); err != nil {
 		t.Fatal(err)
 	}
 	return rr
@@ -285,11 +285,11 @@ func TestAblationOptionsChangeBehavior(t *testing.T) {
 				procs[id] = rep
 			}
 		}
-		nw, err := sim.NewNetwork(procs)
+		fab, err := fabric.NewSim(len(procs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.Run(plan.TotalRounds); err != nil {
+		if _, err := fabric.RunRounds(fab, procs, plan.TotalRounds); err != nil {
 			t.Fatal(err)
 		}
 		return reps

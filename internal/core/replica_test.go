@@ -5,6 +5,7 @@ import (
 
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 	"shiftgears/internal/trace"
 )
@@ -81,15 +82,18 @@ func runPlan(t *testing.T, plan *Plan, val eigtree.Value, faultyIDs []int, strat
 			procs[id] = rep
 		}
 	}
-	var opts []sim.Option
+	var opts []fabric.Option
 	if hook != nil {
-		opts = append(opts, sim.WithRoundHook(hook))
+		opts = append(opts, fabric.WithTickHook(func(round int) error {
+			hook(round)
+			return nil
+		}))
 	}
-	nw, err := sim.NewNetwork(procs, opts...)
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr.stats, err = nw.Run(plan.TotalRounds)
+	rr.stats, err = fabric.RunRounds(fab, procs, plan.TotalRounds, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,9 +279,9 @@ func TestBlockProgressAccounting(t *testing.T) {
 			global    int // globally detected non-source faults
 		}
 		var snaps []snapshot
-		hook := func(round int) {
+		hook := func(round int) error {
 			if !boundaries[round] {
-				return
+				return nil
 			}
 			correct := rr.correct(plan)
 			prefs := map[eigtree.Value]bool{}
@@ -287,6 +291,7 @@ func TestBlockProgressAccounting(t *testing.T) {
 			global := rr.globalDetections(plan)
 			delete(global, plan.Source)
 			snaps = append(snaps, snapshot{unanimous: len(prefs) == 1, global: len(global)})
+			return nil
 		}
 
 		env, err := NewEnv(plan)
@@ -314,11 +319,11 @@ func TestBlockProgressAccounting(t *testing.T) {
 				procs[id] = rep
 			}
 		}
-		nw, err := sim.NewNetwork(procs, sim.WithRoundHook(hook))
+		fab, err := fabric.NewSim(len(procs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.Run(plan.TotalRounds); err != nil {
+		if _, err := fabric.RunRounds(fab, procs, plan.TotalRounds, fabric.WithTickHook(hook)); err != nil {
 			t.Fatal(err)
 		}
 

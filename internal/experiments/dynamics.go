@@ -6,6 +6,7 @@ import (
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/core"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 )
 
@@ -44,15 +45,18 @@ func runCore(plan *core.Plan, opts core.Options, faulty []int, strat string, see
 			procs[id] = rep
 		}
 	}
-	var simOpts []sim.Option
-	if hook != nil {
-		simOpts = append(simOpts, sim.WithRoundHook(func(r int) { hook(r, reps) }))
-	}
-	nw, err := sim.NewNetwork(procs, simOpts...)
+	f, err := fabric.NewSim(plan.N)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := nw.Run(plan.TotalRounds); err != nil {
+	var runOpts []fabric.Option
+	if hook != nil {
+		runOpts = append(runOpts, fabric.WithTickHook(func(r int) error {
+			hook(r, reps)
+			return nil
+		}))
+	}
+	if _, err := fabric.RunRounds(f, procs, plan.TotalRounds, runOpts...); err != nil {
 		return nil, err
 	}
 	return reps, nil

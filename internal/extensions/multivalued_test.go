@@ -5,6 +5,7 @@ import (
 
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 )
 
@@ -37,11 +38,11 @@ func runReducer(t *testing.T, n, tt int, val eigtree.Value, faulty []int, strat 
 			procs[id] = rep
 		}
 	}
-	nw, err := sim.NewNetwork(procs)
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(rounds); err != nil {
+	if _, err := fabric.RunRounds(fab, procs, rounds); err != nil {
 		t.Fatal(err)
 	}
 	return reps
@@ -123,9 +124,25 @@ func TestReducerEquivocatingSourceYieldsCommonValue(t *testing.T) {
 	}
 }
 
+// roundMaxRecorder wraps a processor and records the largest payload it
+// sends in each round.
+type roundMaxRecorder struct {
+	sim.Processor
+	max map[int]int // round → largest payload
+}
+
+func (r *roundMaxRecorder) PrepareRound(round int) [][]byte {
+	out := r.Processor.PrepareRound(round)
+	for _, p := range out {
+		r.max[round] = max(r.max[round], len(p))
+	}
+	return out
+}
+
 func TestReducerConstantMessagesAfterReduction(t *testing.T) {
 	n, tt := 13, 3
 	reps := make([]*ReducerReplica, n)
+	recs := make([]*roundMaxRecorder, n)
 	procs := make([]sim.Processor, n)
 	for id := 0; id < n; id++ {
 		rep, err := NewReducerReplica(n, tt, 0, id, 231, nil)
@@ -133,13 +150,14 @@ func TestReducerConstantMessagesAfterReduction(t *testing.T) {
 			t.Fatal(err)
 		}
 		reps[id] = rep
-		procs[id] = rep
+		recs[id] = &roundMaxRecorder{Processor: rep, max: map[int]int{}}
+		procs[id] = recs[id]
 	}
-	nw, err := sim.NewNetwork(procs, sim.WithPerRoundStats())
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(reps[0].Rounds())
+	stats, err := fabric.RunRounds(fab, procs, reps[0].Rounds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,9 +165,11 @@ func TestReducerConstantMessagesAfterReduction(t *testing.T) {
 	if stats.MaxPayload != anchorFrameLen {
 		t.Fatalf("max payload = %d, want %d", stats.MaxPayload, anchorFrameLen)
 	}
-	for _, rs := range stats.PerRound {
-		if rs.Round != 3 && rs.MaxPayload > 1 {
-			t.Fatalf("round %d payload %d > 1 byte", rs.Round, rs.MaxPayload)
+	for id, rec := range recs {
+		for round, size := range rec.max {
+			if round != 3 && size > 1 {
+				t.Fatalf("processor %d round %d payload %d > 1 byte", id, round, size)
+			}
 		}
 	}
 }
@@ -178,11 +198,11 @@ func TestReducerAnchorQuorumIntersection(t *testing.T) {
 				procs[id] = rep
 			}
 		}
-		nw, err := sim.NewNetwork(procs)
+		fab, err := fabric.NewSim(len(procs))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.Run(3); err != nil { // just through the anchor round
+		if _, err := fabric.RunRounds(fab, procs, 3); err != nil { // just through the anchor round
 			t.Fatal(err)
 		}
 		var anchored *eigtree.Value

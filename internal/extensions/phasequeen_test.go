@@ -5,6 +5,7 @@ import (
 
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 )
 
@@ -37,11 +38,11 @@ func runQueen(t *testing.T, n, tt int, val eigtree.Value, faulty []int, strat st
 			procs[id] = rep
 		}
 	}
-	nw, err := sim.NewNetwork(procs)
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(rounds); err != nil {
+	if _, err := fabric.RunRounds(fab, procs, rounds); err != nil {
 		t.Fatal(err)
 	}
 	return reps
@@ -128,11 +129,11 @@ func TestQueenConstantMessageSize(t *testing.T) {
 		reps[id] = rep
 		procs[id] = rep
 	}
-	nw, err := sim.NewNetwork(procs)
+	fab, err := fabric.NewSim(len(procs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(reps[0].Rounds())
+	stats, err := fabric.RunRounds(fab, procs, reps[0].Rounds())
 	if err != nil {
 		t.Fatal(err)
 	}

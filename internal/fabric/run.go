@@ -13,28 +13,9 @@ import (
 type Option func(*runner)
 
 // WithParallel fans each tick's Outboxes and Deliver calls across one
-// goroutine per local node — the multi-node analogue of the old
-// goroutine-per-processor engine. Schedules and bytes are identical to
-// the sequential loop (asserted by tests); only wall-clock changes.
+// goroutine per local node. Schedules and bytes are identical to the
+// sequential loop (asserted by tests); only wall-clock changes.
 func WithParallel() Option { return func(r *runner) { r.parallel = true } }
-
-// WithPerRoundStats records a RoundStats entry per tick in the run's
-// Stats. Off by default: aggregates are always-on and O(1), while the
-// per-round trail grows with the schedule — unbounded memory on long
-// logs. Cap the trail with WithPerRoundStatsCap.
-func WithPerRoundStats() Option { return func(r *runner) { r.perRound = true } }
-
-// WithPerRoundStatsCap records per-round stats like WithPerRoundStats
-// but keeps only the last k entries (a ring), bounding memory on
-// schedules whose length is the log's whole lifetime. k ≤ 0 means
-// unbounded (identical to WithPerRoundStats). Implies per-round
-// recording.
-func WithPerRoundStatsCap(k int) Option {
-	return func(r *runner) {
-		r.perRound = true
-		r.perRoundCap = k
-	}
-}
 
 // WithTracer installs a flight recorder on the run: tick starts,
 // per-link frame batches, and terminal outcomes (diverged / wedged /
@@ -72,13 +53,11 @@ func WithAdvisoryErrors(advisory []bool) Option {
 
 // runner holds one Run's configuration and reusable per-tick scratch.
 type runner struct {
-	parallel    bool
-	perRound    bool
-	perRoundCap int
-	maxTicks    int
-	hook        func(tick int) error
-	advisory    []bool
-	tracer      obs.Tracer
+	parallel bool
+	maxTicks int
+	hook     func(tick int) error
+	advisory []bool
+	tracer   obs.Tracer
 }
 
 // Run is the mux drive loop — the only one: every fabric (in-process,
@@ -125,7 +104,6 @@ func Run(f Fabric, muxes []*sim.Mux, opts ...Option) (*sim.Stats, error) {
 	muted := make([]bool, L)
 
 	var stats sim.Stats
-	prOldest := 0 // ring cursor into stats.PerRound when capped
 	curTick := 0
 	fail := func(err error) (*sim.Stats, error) {
 		if r.tracer != nil {
@@ -258,31 +236,25 @@ func Run(f Fabric, muxes []*sim.Mux, opts ...Option) (*sim.Stats, error) {
 		// link (sender i → local node k) emits one FrameBatch per tick —
 		// the fabric-uniform traffic trail (identical shape on sim, mem,
 		// and TCP, because it is measured here, not in the fabrics).
-		rs := sim.RoundStats{Round: tick}
 		for k := range ins {
 			if muted[k] {
 				continue
 			}
 			for i := range ins[k] {
-				sent := false
 				linkFrames, linkBytes := 0, 0
 				for _, p := range ins[k][i] {
 					if p == nil {
 						continue
 					}
-					sent = true
 					linkFrames++
 					linkBytes += len(p)
-					rs.Messages++
-					rs.Bytes += len(p)
-					if len(p) > rs.MaxPayload {
-						rs.MaxPayload = len(p)
+					if len(p) > stats.MaxPayload {
+						stats.MaxPayload = len(p)
 					}
 				}
-				if sent && k == ref {
-					rs.DistinctSrc++
-				}
-				if sent && r.tracer != nil {
+				stats.Messages += linkFrames
+				stats.Bytes += linkBytes
+				if linkFrames > 0 && r.tracer != nil {
 					ev := obs.At(obs.FrameBatch, tick)
 					ev.From, ev.To = i, local[k]
 					ev.Frames, ev.Bytes = linkFrames, linkBytes
@@ -305,19 +277,6 @@ func Run(f Fabric, muxes []*sim.Mux, opts ...Option) (*sim.Stats, error) {
 		}
 
 		stats.Rounds = tick
-		stats.Messages += rs.Messages
-		stats.Bytes += rs.Bytes
-		if rs.MaxPayload > stats.MaxPayload {
-			stats.MaxPayload = rs.MaxPayload
-		}
-		if r.perRound {
-			if r.perRoundCap > 0 && len(stats.PerRound) >= r.perRoundCap {
-				stats.PerRound[prOldest] = rs
-				prOldest = (prOldest + 1) % r.perRoundCap
-			} else {
-				stats.PerRound = append(stats.PerRound, rs)
-			}
-		}
 
 		if r.hook != nil {
 			if err := r.hook(tick); err != nil {
@@ -325,11 +284,33 @@ func Run(f Fabric, muxes []*sim.Mux, opts ...Option) (*sim.Stats, error) {
 			}
 		}
 	}
-	out := stats
-	out.PerRound = make([]sim.RoundStats, 0, len(stats.PerRound))
-	out.PerRound = append(out.PerRound, stats.PerRound[prOldest:]...)
-	out.PerRound = append(out.PerRound, stats.PerRound[:prOldest]...)
-	return &out, nil
+	return &stats, nil
+}
+
+// RunRounds drives a single-shot run — one sim.Processor per local node
+// for a fixed number of rounds — through Run, as a one-instance, window-1
+// schedule per node: tick r is every processor's round r. procs[k] must
+// be local node Local()[k].
+func RunRounds(f Fabric, procs []sim.Processor, rounds int, opts ...Option) (*sim.Stats, error) {
+	local := f.Local()
+	if len(procs) != len(local) {
+		return nil, fmt.Errorf("fabric: %d processors for %d local nodes", len(procs), len(local))
+	}
+	muxes := make([]*sim.Mux, len(procs))
+	for k, p := range procs {
+		if p == nil || p.ID() != local[k] {
+			return nil, fmt.Errorf("fabric: processor at position %d is not local node %d", k, local[k])
+		}
+		m, err := sim.NewMux(sim.MuxConfig{
+			ID: local[k], N: f.N(), Window: 1, Rounds: []int{rounds},
+			Start: func(int) (sim.Instance, error) { return p, nil },
+		})
+		if err != nil {
+			return nil, err
+		}
+		muxes[k] = m
+	}
+	return Run(f, muxes, opts...)
 }
 
 // forEach applies fn to 0..l-1, concurrently under WithParallel. fn must

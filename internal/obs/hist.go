@@ -89,7 +89,8 @@ func (h *Histogram) Sum() uint64 {
 // Quantile returns the latency (in ticks) at quantile q in [0, 1],
 // resolved to the upper bound of the bucket holding the q-th sample —
 // a conservative (never underestimating) read, the convention fixed
-// buckets afford. Returns 0 with no samples.
+// buckets afford — clamped to the observed max, which no quantile can
+// exceed. Returns 0 with no samples.
 func (h *Histogram) Quantile(q float64) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -114,10 +115,10 @@ func (h *Histogram) quantileLocked(q float64) int {
 	for i, c := range h.counts {
 		cum += c
 		if cum > rank {
-			if i < NumBuckets {
+			if i < NumBuckets && latencyBuckets[i] < h.max {
 				return latencyBuckets[i]
 			}
-			return h.max // overflow bucket: report the observed max
+			return h.max // the max's own bucket, or the overflow bucket
 		}
 	}
 	return h.max
@@ -149,7 +150,7 @@ func (h *Histogram) Summarize() LatencySummary {
 }
 
 // String renders the summary on one line, e.g.
-// "n=26 mean=8.4 p50=8 p90=12 p99=16 max=14 ticks".
+// "n=26 mean=8.4 p50=8 p90=12 p99=14 max=14 ticks".
 func (s LatencySummary) String() string {
 	if s.Count == 0 {
 		return "n=0"

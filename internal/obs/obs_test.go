@@ -196,6 +196,31 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantilesNeverExceedMax: a sample in the (12, 16] bucket
+// must not read back as the bucket's bound 16 when nothing above 14 was
+// observed.
+func TestHistogramQuantilesNeverExceedMax(t *testing.T) {
+	var h Histogram
+	for v := 1; v <= 14; v++ {
+		h.Observe(v)
+	}
+	s := h.Summarize()
+	if s.Max != 14 {
+		t.Fatalf("max = %d, want 14", s.Max)
+	}
+	for _, q := range []struct {
+		name string
+		got  int
+	}{{"p50", s.P50}, {"p90", s.P90}, {"p99", s.P99}} {
+		if q.got > s.Max {
+			t.Errorf("%s = %d exceeds the observed max %d", q.name, q.got, s.Max)
+		}
+	}
+	if s.P50 != 8 || s.P99 != 14 {
+		t.Errorf("p50/p99 = %d/%d, want 8/14 (bucket bound, then the clamp)", s.P50, s.P99)
+	}
+}
+
 func TestHistogramOverflowAndMerge(t *testing.T) {
 	var h Histogram
 	h.Observe(5000) // beyond the last bound

@@ -74,8 +74,8 @@ type MuxConfig struct {
 	// bytes. It pays only when the per-instance round work is heavy
 	// enough to amortize the per-tick goroutine coordination (wide
 	// windows of expensive protocol computation); for light instances the
-	// sequential loop is faster — measure with cmd/bench before turning
-	// it on.
+	// sequential loop is faster — measure with cmd/benchmark before
+	// turning it on.
 	Workers int
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"testing"
+
+	"shiftgears/internal/obs"
 )
 
 // tagInstance is a minimal Instance for configuration-level tests; the
@@ -119,5 +121,67 @@ func TestMuxTickProtocol(t *testing.T) {
 	}
 	if _, err := m.Outboxes(); err == nil {
 		t.Fatal("double Outboxes accepted")
+	}
+}
+
+// TestMuxTracerEmitsSchedule: the mux-level SlotOpen/WindowAdvance trail
+// covers every instance with its resolved round count.
+func TestMuxTracerEmitsSchedule(t *testing.T) {
+	const n, window = 2, 2
+	rounds := []int{2, 1, 3}
+	ring := obs.NewRing(0)
+	mk := func(id int, tr obs.Tracer) *Mux {
+		m, err := NewMux(MuxConfig{
+			ID: id, N: n, Window: window, Rounds: rounds, Tracer: tr,
+			Start: func(inst int) (Instance, error) {
+				return &tagInstance{inst: inst, n: n}, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := mk(0, ring), mk(1, nil)
+	for !a.Done() {
+		outs := make([][]MuxFrame, 2)
+		var err error
+		if outs[0], err = a.Outboxes(); err != nil {
+			t.Fatal(err)
+		}
+		if outs[1], err = b.Outboxes(); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []*Mux{a, b} {
+			ins := make([][][]byte, n)
+			for s := range ins {
+				ins[s] = make([][]byte, len(outs[s]))
+				for f := range outs[s] {
+					if outs[s][f].Outbox != nil {
+						ins[s][f] = outs[s][f].Outbox[m.ID()]
+					}
+				}
+			}
+			if err := m.Deliver(ins); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	opened, retired := map[int]int{}, map[int]int{}
+	for _, ev := range ring.Events() {
+		switch ev.Type {
+		case obs.SlotOpen:
+			opened[ev.Slot] = ev.Round
+		case obs.WindowAdvance:
+			retired[ev.Slot] = ev.Round
+		}
+	}
+	for inst, r := range rounds {
+		if opened[inst] != r {
+			t.Errorf("instance %d opened with %d rounds, want %d", inst, opened[inst], r)
+		}
+		if retired[inst] != r {
+			t.Errorf("instance %d retired with %d rounds, want %d", inst, retired[inst], r)
+		}
 	}
 }

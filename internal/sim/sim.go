@@ -3,17 +3,11 @@
 // in lockstep rounds, where every correct processor can identify the sender
 // of each message it receives (ids are positions in the inbox).
 //
-// The engine has two execution modes that produce byte-identical runs: a
-// deterministic sequential mode, and a concurrent mode with one goroutine
-// per processor and a barrier between the send and receive halves of each
-// round. The concurrent mode is the "goroutines simulate synchronous
-// rounds" substrate; equality of the two modes is asserted by tests.
+// The package holds the model's vocabulary — Processor, the per-node
+// instance multiplexer Mux, and traffic Stats — but no drive loop: every
+// schedule, a single-shot run (fabric.RunRounds) as much as a pipelined
+// log, is driven in lockstep by internal/fabric.Run over some fabric.
 package sim
-
-import (
-	"fmt"
-	"sync"
-)
 
 // Processor is one participant in the synchronous protocol. Implementations
 // must not retain or mutate the inbox slices they are handed; payloads may
@@ -33,218 +27,12 @@ type Processor interface {
 	DeliverRound(round int, inbox [][]byte)
 }
 
-// RoundStats aggregates message traffic for one round.
-type RoundStats struct {
-	Round       int // 1-based round number
-	Messages    int // payloads delivered (self-delivery included)
-	Bytes       int // sum of payload lengths
-	MaxPayload  int // largest single payload, the paper's "message length"
-	DistinctSrc int // processors that sent at least one payload
-}
-
-// Stats aggregates message traffic over a run. PerRound is populated only
-// when the driver asked for it (WithPerRoundStats, or the transport's
-// option of the same name): the aggregate counters are always-on and
-// O(1), while a per-round trail grows with the schedule — unbounded
-// memory on long logs.
+// Stats aggregates message traffic over a run.
 type Stats struct {
 	Rounds     int
 	Messages   int
 	Bytes      int
 	MaxPayload int
-	PerRound   []RoundStats
-}
-
-// Network executes processors in synchronous rounds.
-type Network struct {
-	procs       []Processor
-	parallel    bool
-	perRound    bool
-	perRoundCap int
-	hook        func(round int)
-	stats       Stats
-	prOldest    int // ring cursor into stats.PerRound when capped
-}
-
-// Option configures a Network.
-type Option func(*Network)
-
-// Parallel selects the goroutine-per-processor engine.
-func Parallel() Option { return func(nw *Network) { nw.parallel = true } }
-
-// WithPerRoundStats records a RoundStats entry per round in the run's
-// Stats. Off by default: aggregate totals are always maintained, but the
-// per-round trail is one entry per tick forever — unbounded memory when
-// the schedule is long (a replicated log's whole lifetime). Cap the
-// trail with WithPerRoundStatsCap.
-func WithPerRoundStats() Option { return func(nw *Network) { nw.perRound = true } }
-
-// WithPerRoundStatsCap records per-round stats like WithPerRoundStats
-// but retains only the last k rounds (a keep-last-K ring), so opt-in
-// per-round visibility no longer implies unbounded growth on long runs.
-// k ≤ 0 means unbounded. Implies per-round recording.
-func WithPerRoundStatsCap(k int) Option {
-	return func(nw *Network) {
-		nw.perRound = true
-		nw.perRoundCap = k
-	}
-}
-
-// WithRoundHook installs a callback invoked after each round completes
-// (all deliveries done). Used by traces and lemma-level tests to snapshot
-// protocol state at round boundaries.
-func WithRoundHook(h func(round int)) Option {
-	return func(nw *Network) { nw.hook = h }
-}
-
-// NewNetwork builds a network over the given processors, whose IDs must be
-// exactly 0..len(procs)-1 in order.
-func NewNetwork(procs []Processor, opts ...Option) (*Network, error) {
-	if len(procs) < 2 {
-		return nil, fmt.Errorf("sim: need at least 2 processors, have %d", len(procs))
-	}
-	for i, p := range procs {
-		if p == nil {
-			return nil, fmt.Errorf("sim: processor %d is nil", i)
-		}
-		if p.ID() != i {
-			return nil, fmt.Errorf("sim: processor at index %d reports id %d", i, p.ID())
-		}
-	}
-	nw := &Network{procs: procs}
-	for _, opt := range opts {
-		opt(nw)
-	}
-	return nw, nil
-}
-
-// Run executes rounds 1..rounds and returns traffic statistics.
-func (nw *Network) Run(rounds int) (*Stats, error) {
-	if rounds < 1 {
-		return nil, fmt.Errorf("sim: round count %d must be positive", rounds)
-	}
-	return nw.run(rounds, nil)
-}
-
-// RunUntil executes rounds until stop reports true, checked after every
-// completed round (all deliveries done). maxRounds bounds the run as a
-// safety net against a stop predicate that never fires; maxRounds ≤ 0
-// means unbounded. Drive loops whose length is not known up front — a
-// mux whose round counts resolve lazily — use this instead of Run.
-func (nw *Network) RunUntil(maxRounds int, stop func(round int) bool) (*Stats, error) {
-	if stop == nil {
-		return nil, fmt.Errorf("sim: RunUntil needs a stop predicate")
-	}
-	return nw.run(maxRounds, stop)
-}
-
-func (nw *Network) run(maxRounds int, stop func(round int) bool) (*Stats, error) {
-	n := len(nw.procs)
-	outboxes := make([][][]byte, n)
-	inboxes := make([][][]byte, n)
-	for i := range inboxes {
-		inboxes[i] = make([][]byte, n)
-	}
-
-	nw.stats = Stats{}
-	nw.prOldest = 0
-	if nw.perRound && maxRounds > 0 {
-		capHint := maxRounds
-		if nw.perRoundCap > 0 && nw.perRoundCap < capHint {
-			capHint = nw.perRoundCap
-		}
-		nw.stats.PerRound = make([]RoundStats, 0, capHint)
-	}
-	for r := 1; maxRounds <= 0 || r <= maxRounds; r++ {
-		// Send half: collect every processor's outbox for this round.
-		if nw.parallel {
-			var wg sync.WaitGroup
-			for i, p := range nw.procs {
-				wg.Add(1)
-				go func(i int, p Processor) {
-					defer wg.Done()
-					outboxes[i] = p.PrepareRound(r)
-				}(i, p)
-			}
-			wg.Wait()
-		} else {
-			for i, p := range nw.procs {
-				outboxes[i] = p.PrepareRound(r)
-			}
-		}
-
-		rs := RoundStats{Round: r}
-		for i, out := range outboxes {
-			if out == nil {
-				for j := range nw.procs {
-					inboxes[j][i] = nil
-				}
-				continue
-			}
-			if len(out) != n {
-				return nil, fmt.Errorf("sim: round %d: processor %d outbox has %d entries, want %d", r, i, len(out), n)
-			}
-			sent := false
-			for j, payload := range out {
-				inboxes[j][i] = payload
-				if payload != nil {
-					sent = true
-					rs.Messages++
-					rs.Bytes += len(payload)
-					if len(payload) > rs.MaxPayload {
-						rs.MaxPayload = len(payload)
-					}
-				}
-			}
-			if sent {
-				rs.DistinctSrc++
-			}
-		}
-
-		// Receive half: deliver the complete round to every processor.
-		if nw.parallel {
-			var wg sync.WaitGroup
-			for i, p := range nw.procs {
-				wg.Add(1)
-				go func(i int, p Processor) {
-					defer wg.Done()
-					p.DeliverRound(r, inboxes[i])
-				}(i, p)
-			}
-			wg.Wait()
-		} else {
-			for i, p := range nw.procs {
-				p.DeliverRound(r, inboxes[i])
-			}
-		}
-
-		nw.stats.Rounds = r
-		nw.stats.Messages += rs.Messages
-		nw.stats.Bytes += rs.Bytes
-		if rs.MaxPayload > nw.stats.MaxPayload {
-			nw.stats.MaxPayload = rs.MaxPayload
-		}
-		if nw.perRound {
-			if nw.perRoundCap > 0 && len(nw.stats.PerRound) >= nw.perRoundCap {
-				nw.stats.PerRound[nw.prOldest] = rs
-				nw.prOldest = (nw.prOldest + 1) % nw.perRoundCap
-			} else {
-				nw.stats.PerRound = append(nw.stats.PerRound, rs)
-			}
-		}
-
-		if nw.hook != nil {
-			nw.hook(r)
-		}
-		if stop != nil && stop(r) {
-			break
-		}
-	}
-	out := nw.stats
-	out.PerRound = make([]RoundStats, 0, len(nw.stats.PerRound))
-	out.PerRound = append(out.PerRound, nw.stats.PerRound[nw.prOldest:]...)
-	out.PerRound = append(out.PerRound, nw.stats.PerRound[:nw.prOldest]...)
-	return &out, nil
 }
 
 // Broadcast builds an outbox that sends the same payload to all n

@@ -1,11 +1,28 @@
-package sim
+package sim_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"shiftgears/internal/fabric"
+	"shiftgears/internal/sim"
 )
+
+// The synchronous network of the model is driven by fabric.RunRounds
+// over the in-process fabric; these tests pin the model's delivery
+// semantics through it.
+
+// runNetwork drives procs for rounds over an in-process fabric.
+func runNetwork(t *testing.T, procs []sim.Processor, rounds int, opts ...fabric.Option) (*sim.Stats, error) {
+	t.Helper()
+	f, err := fabric.NewSim(len(procs))
+	if err != nil {
+		return nil, err
+	}
+	return fabric.RunRounds(f, procs, rounds, opts...)
+}
 
 // echoProc broadcasts its id as a 1-byte payload every round and records
 // everything it receives.
@@ -20,7 +37,7 @@ type echoProc struct {
 func (p *echoProc) ID() int { return p.id }
 
 func (p *echoProc) PrepareRound(round int) [][]byte {
-	return Broadcast(p.n, []byte{byte(p.id), byte(round)})
+	return sim.Broadcast(p.n, []byte{byte(p.id), byte(round)})
 }
 
 func (p *echoProc) DeliverRound(round int, inbox [][]byte) {
@@ -39,38 +56,30 @@ func (p *echoProc) DeliverRound(round int, inbox [][]byte) {
 }
 
 func TestNetworkValidation(t *testing.T) {
-	if _, err := NewNetwork(nil); err == nil {
+	if _, err := runNetwork(t, nil, 1); err == nil {
 		t.Error("empty processor list accepted")
 	}
-	if _, err := NewNetwork([]Processor{&echoProc{id: 0, n: 2}, nil}); err == nil {
+	if _, err := runNetwork(t, []sim.Processor{&echoProc{id: 0, n: 2}, nil}, 1); err == nil {
 		t.Error("nil processor accepted")
 	}
-	if _, err := NewNetwork([]Processor{&echoProc{id: 1, n: 2}, &echoProc{id: 0, n: 2}}); err == nil {
+	if _, err := runNetwork(t, []sim.Processor{&echoProc{id: 1, n: 2}, &echoProc{id: 0, n: 2}}, 1); err == nil {
 		t.Error("out-of-order ids accepted")
 	}
-	procs := []Processor{&echoProc{id: 0, n: 2}, &echoProc{id: 1, n: 2}}
-	nw, err := NewNetwork(procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(0); err == nil {
+	procs := []sim.Processor{&echoProc{id: 0, n: 2}, &echoProc{id: 1, n: 2}}
+	if _, err := runNetwork(t, procs, 0); err == nil {
 		t.Error("zero rounds accepted")
 	}
 }
 
 func TestNetworkDeliversAllToAll(t *testing.T) {
 	n := 5
-	procs := make([]Processor, n)
+	procs := make([]sim.Processor, n)
 	raw := make([]*echoProc, n)
 	for i := range procs {
 		raw[i] = &echoProc{id: i, n: n}
 		procs[i] = raw[i]
 	}
-	nw, err := NewNetwork(procs, WithPerRoundStats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := nw.Run(3)
+	stats, err := runNetwork(t, procs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +96,6 @@ func TestNetworkDeliversAllToAll(t *testing.T) {
 	if stats.Rounds != 3 || stats.Messages != 3*n*n || stats.Bytes != 3*n*n*2 || stats.MaxPayload != 2 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if len(stats.PerRound) != 3 || stats.PerRound[1].Round != 2 || stats.PerRound[0].DistinctSrc != n {
-		t.Fatalf("per-round stats = %+v", stats.PerRound)
-	}
 }
 
 // silentProc sends nothing.
@@ -100,17 +106,13 @@ func (p *silentProc) PrepareRound(int) [][]byte  { return nil }
 func (p *silentProc) DeliverRound(int, [][]byte) {}
 
 func TestNetworkNilOutboxes(t *testing.T) {
-	procs := []Processor{&silentProc{0}, &silentProc{1}, &silentProc{2}}
-	nw, err := NewNetwork(procs)
+	procs := []sim.Processor{&silentProc{0}, &silentProc{1}, &silentProc{2}}
+	stats, err := runNetwork(t, procs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats, err := nw.Run(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Messages != 0 || stats.Bytes != 0 || stats.MaxPayload != 0 {
-		t.Fatalf("stats = %+v, want all zero", stats)
+	if stats.Rounds != 2 || stats.Messages != 0 || stats.Bytes != 0 || stats.MaxPayload != 0 {
+		t.Fatalf("stats = %+v, want 2 silent rounds", stats)
 	}
 }
 
@@ -124,23 +126,19 @@ func (p *badProc) PrepareRound(int) [][]byte {
 func (p *badProc) DeliverRound(int, [][]byte) {}
 
 func TestNetworkRejectsMalformedOutbox(t *testing.T) {
-	nw, err := NewNetwork([]Processor{&badProc{0}, &badProc{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(1); err == nil {
+	if _, err := runNetwork(t, []sim.Processor{&badProc{0}, &badProc{1}}, 1); err == nil {
 		t.Fatal("malformed outbox not rejected")
 	}
 }
 
 func TestRoundHook(t *testing.T) {
 	var rounds []int
-	procs := []Processor{&silentProc{0}, &silentProc{1}}
-	nw, err := NewNetwork(procs, WithRoundHook(func(r int) { rounds = append(rounds, r) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(4); err != nil {
+	procs := []sim.Processor{&silentProc{0}, &silentProc{1}}
+	hook := fabric.WithTickHook(func(r int) error {
+		rounds = append(rounds, r)
+		return nil
+	})
+	if _, err := runNetwork(t, procs, 4, hook); err != nil {
 		t.Fatal(err)
 	}
 	if len(rounds) != 4 || rounds[0] != 1 || rounds[3] != 4 {
@@ -172,16 +170,12 @@ func (p *perDestProc) DeliverRound(round int, inbox [][]byte) {
 func TestPerDestinationDelivery(t *testing.T) {
 	n := 3
 	raw := make([]*perDestProc, n)
-	procs := make([]Processor, n)
+	procs := make([]sim.Processor, n)
 	for i := range procs {
 		raw[i] = &perDestProc{id: i, n: n}
 		procs[i] = raw[i]
 	}
-	nw, err := NewNetwork(procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nw.Run(1); err != nil {
+	if _, err := runNetwork(t, procs, 1); err != nil {
 		t.Fatal(err)
 	}
 	for j, p := range raw {
@@ -193,10 +187,10 @@ func TestPerDestinationDelivery(t *testing.T) {
 }
 
 func TestBroadcastHelper(t *testing.T) {
-	if Broadcast(3, nil) != nil {
+	if sim.Broadcast(3, nil) != nil {
 		t.Error("Broadcast(nil) should be nil")
 	}
-	out := Broadcast(3, []byte{7})
+	out := sim.Broadcast(3, []byte{7})
 	if len(out) != 3 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -210,20 +204,16 @@ func TestBroadcastHelper(t *testing.T) {
 func TestParallelMatchesSequential(t *testing.T) {
 	run := func(parallel bool, rounds, n int) []string {
 		raw := make([]*echoProc, n)
-		procs := make([]Processor, n)
+		procs := make([]sim.Processor, n)
 		for i := range procs {
 			raw[i] = &echoProc{id: i, n: n}
 			procs[i] = raw[i]
 		}
-		var opts []Option
+		var opts []fabric.Option
 		if parallel {
-			opts = append(opts, Parallel())
+			opts = append(opts, fabric.WithParallel())
 		}
-		nw, err := NewNetwork(procs, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nw.Run(rounds); err != nil {
+		if _, err := runNetwork(t, procs, rounds, opts...); err != nil {
 			t.Fatal(err)
 		}
 		out := make([]string, n)
@@ -246,105 +236,5 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestStatsCopySafety(t *testing.T) {
-	procs := []Processor{&echoProc{id: 0, n: 2}, &echoProc{id: 1, n: 2}}
-	nw, err := NewNetwork(procs, WithPerRoundStats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := nw.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.PerRound[0].Messages = -1
-	s2, err := nw.Run(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.PerRound[0].Messages == -1 {
-		t.Fatal("stats alias internal state across runs")
-	}
-}
-
-// TestRunUntil: the open-ended drive loop stops the round after its
-// predicate fires, honors the maxRounds safety bound, and rejects a nil
-// predicate.
-func TestRunUntil(t *testing.T) {
-	mk := func() (*Network, *echoProc) {
-		a, b := &echoProc{id: 0, n: 2}, &echoProc{id: 1, n: 2}
-		nw, err := NewNetwork([]Processor{a, b})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw, a
-	}
-
-	nw, a := mk()
-	stats, err := nw.RunUntil(0, func(round int) bool { return round == 5 })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 5 || len(a.received) != 5 {
-		t.Fatalf("ran %d rounds (proc saw %d), want 5", stats.Rounds, len(a.received))
-	}
-
-	// The predicate runs after deliveries: round 1's inbox is complete
-	// even when stopping immediately.
-	nw, a = mk()
-	if _, err := nw.RunUntil(0, func(int) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.received) != 1 || len(a.received[0]) != 2 {
-		t.Fatalf("first round not fully delivered before stop: %v", a.received)
-	}
-
-	// maxRounds bounds a predicate that never fires.
-	nw, _ = mk()
-	stats, err = nw.RunUntil(3, func(int) bool { return false })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 3 {
-		t.Fatalf("unbounded predicate ran %d rounds, want maxRounds=3", stats.Rounds)
-	}
-
-	nw, _ = mk()
-	if _, err := nw.RunUntil(0, nil); err == nil {
-		t.Fatal("nil stop predicate accepted")
-	}
-}
-
-// TestPerRoundStatsOptIn: the per-round trail is opt-in — it grows one
-// entry per tick forever, unbounded memory on long logs — while the
-// aggregate counters are always on.
-func TestPerRoundStatsOptIn(t *testing.T) {
-	run := func(opts ...Option) *Stats {
-		procs := []Processor{&echoProc{id: 0, n: 2}, &echoProc{id: 1, n: 2}}
-		nw, err := NewNetwork(procs, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stats, err := nw.Run(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	off := run()
-	if len(off.PerRound) != 0 {
-		t.Fatalf("per-round stats recorded by default: %d entries", len(off.PerRound))
-	}
-	if off.Rounds != 3 || off.Messages == 0 || off.Bytes == 0 {
-		t.Fatalf("aggregates missing without the per-round trail: %+v", off)
-	}
-	on := run(WithPerRoundStats())
-	if len(on.PerRound) != 3 {
-		t.Fatalf("opt-in per-round stats carried %d entries, want 3", len(on.PerRound))
-	}
-	if on.Messages != off.Messages || on.Bytes != off.Bytes {
-		t.Fatalf("aggregates differ with the trail on: %+v vs %+v", on, off)
 	}
 }

@@ -101,9 +101,6 @@ func floodMesh(t *testing.T, opts ...Option) {
 		if res.stats.Rounds != rounds {
 			t.Fatalf("mesh ran %d ticks, want %d", res.stats.Rounds, rounds)
 		}
-		if len(res.stats.PerRound) != 0 {
-			t.Fatalf("per-round stats recorded without WithPerRoundStats: %d entries", len(res.stats.PerRound))
-		}
 	case <-time.After(60 * time.Second):
 		t.Fatal("mesh deadlocked under socket-buffer back-pressure (send half must not block the read half)")
 	}
@@ -114,9 +111,9 @@ func floodMesh(t *testing.T, opts ...Option) {
 	}
 }
 
-// TestRunLargePayloadBackpressure is the single-instance twin: Node.Run
-// under the same shrunken-buffer regime must also overlap sends with
-// reads.
+// TestRunLargePayloadBackpressure is the single-shot twin: a RunRounds
+// schedule over the mesh under the same shrunken-buffer regime must also
+// overlap sends with reads.
 func TestRunLargePayloadBackpressure(t *testing.T) {
 	const (
 		n       = 3
@@ -133,15 +130,15 @@ func TestRunLargePayloadBackpressure(t *testing.T) {
 		insts[id] = fn
 		procs[id] = fn
 	}
-	cluster, err := NewCluster(procs, WithWriteBufferSize(sockBuf))
+	mesh, err := NewMesh(n, WithWriteBufferSize(sockBuf))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
+	defer func() { _ = mesh.Close() }()
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := cluster.Run(rounds)
+		_, err := fabric.RunRounds(mesh, procs, rounds)
 		done <- err
 	}()
 	select {
@@ -159,7 +156,7 @@ func TestRunLargePayloadBackpressure(t *testing.T) {
 	}
 }
 
-// floodNode is floodInstance as a plain sim.Processor (for Node.Run).
+// floodNode is floodInstance as a plain sim.Processor (for RunRounds).
 type floodNode struct {
 	mu      sync.Mutex
 	id, n   int

@@ -3,11 +3,12 @@ package transport
 import (
 	"testing"
 
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 )
 
 func TestConnectAddrCountMismatch(t *testing.T) {
-	node, err := Listen(&echoNode{id: 0, n: 3}, 3, "127.0.0.1:0")
+	node, err := ListenNode(0, 3, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,27 +18,33 @@ func TestConnectAddrCountMismatch(t *testing.T) {
 	}
 }
 
-func TestNodeRunValidation(t *testing.T) {
-	procs := []sim.Processor{&echoNode{id: 0, n: 2}, &echoNode{id: 1, n: 2}}
-	cluster, err := NewCluster(procs)
+// runMesh drives a single-shot run of procs over a fresh loopback mesh.
+func runMesh(t *testing.T, procs []sim.Processor, rounds int, opts ...Option) (*sim.Stats, error) {
+	t.Helper()
+	mesh, err := NewMesh(len(procs), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
-	if _, err := cluster.nodes[0].Run(0); err == nil {
+	defer func() { _ = mesh.Close() }()
+	return fabric.RunRounds(mesh, procs, rounds)
+}
+
+func TestNodeRunValidation(t *testing.T) {
+	procs := []sim.Processor{&echoNode{id: 0, n: 2}, &echoNode{id: 1, n: 2}}
+	if _, err := runMesh(t, procs, 0); err == nil {
 		t.Fatal("zero rounds accepted")
 	}
 }
 
 func TestClusterRejectsMisnumberedProcessors(t *testing.T) {
 	procs := []sim.Processor{&echoNode{id: 1, n: 2}, &echoNode{id: 0, n: 2}}
-	if _, err := NewCluster(procs); err == nil {
+	if _, err := runMesh(t, procs, 1); err == nil {
 		t.Fatal("misnumbered processors accepted")
 	}
 }
 
 func TestNodeAddrReportsEphemeralPort(t *testing.T) {
-	node, err := Listen(&echoNode{id: 0, n: 2}, 2, "127.0.0.1:0")
+	node, err := ListenNode(0, 2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,12 +58,7 @@ func TestNodeAddrReportsEphemeralPort(t *testing.T) {
 // lockstep barrier (nil frames flow).
 func TestSilentProtocolOverTCP(t *testing.T) {
 	procs := []sim.Processor{&muteNode{0}, &muteNode{1}, &muteNode{2}}
-	cluster, err := NewCluster(procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	stats, err := cluster.Run(3)
+	stats, err := runMesh(t, procs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,15 @@ import (
 // real sockets. Two shapes:
 //
 //   - NewMesh hosts every node of the cluster in one process over
-//     loopback — the test/benchmark/single-host deployment, the
-//     successor of the old Cluster.RunMux.
+//     loopback — the test/benchmark/single-host deployment.
 //   - JoinMesh hosts one already-connected node — the multi-process
 //     deployment (cmd/logserver), every replica its own OS process,
 //     each process running fabric.Run over its own single-node Mesh.
 //
-// Each hosted node exchanges its tick through a persistent goroutine
-// (writer fan-out and peer reads overlap across nodes exactly as the
-// old per-node drive loops did); the first node to fail tears every
-// hosted node's connections down, so no sibling is left blocked in the
-// lockstep barrier.
+// Each hosted node exchanges its tick through a persistent goroutine, so
+// writer fan-out and peer reads overlap across nodes; the first node to
+// fail tears every hosted node's connections down, so no sibling is left
+// blocked in the lockstep barrier.
 type Mesh struct {
 	n     int
 	local []int
@@ -67,8 +65,29 @@ func NewMesh(n int, opts ...Option) (*Mesh, error) {
 	return newMesh(nodes), nil
 }
 
-// JoinMesh hosts one already-connected node (Listen or ListenNode, then
-// Connect) — this process's share of a multi-process mesh.
+// connectAll establishes every node's full mesh concurrently (nodes dial
+// smaller ids and accept larger ones, so they must connect in parallel).
+func connectAll(nodes []*Node, addrs []string) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(nodes))
+	for i, node := range nodes {
+		wg.Add(1)
+		go func(i int, node *Node) {
+			defer wg.Done()
+			errs[i] = node.Connect(addrs)
+		}(i, node)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// JoinMesh hosts one already-connected node (ListenNode, then Connect) —
+// this process's share of a multi-process mesh.
 func JoinMesh(node *Node) *Mesh {
 	return newMesh([]*Node{node})
 }

@@ -10,12 +10,11 @@ import (
 
 // sendJob is one tick's worth of frames for one peer: the writer
 // assembles every frame into a single vectored write, so each peer
-// connection carries one coalesced burst per tick. kind/seq label the
-// tick ("tick 7", "round 3") so a mid-tick send failure reports with
-// tick context on its own, without waiting for exchange to wrap it.
+// connection carries one coalesced burst per tick. tick labels the job so
+// a mid-tick send failure reports with tick context on its own, without
+// waiting for exchange to wrap it.
 type sendJob struct {
-	kind   string
-	seq    int
+	tick   int
 	frames []sim.MuxFrame
 	peer   int
 }
@@ -116,7 +115,7 @@ func (w *meshWriter) send(p *peer, job sendJob) error {
 	// one heap box per send.
 	w.bufs = net.Buffers(vecs)
 	if _, err := w.bufs.WriteTo(p.conn); err != nil {
-		return fmt.Errorf("%s %d: send to %d: %w", job.kind, job.seq, job.peer, err)
+		return fmt.Errorf("tick %d: send to %d: %w", job.tick, job.peer, err)
 	}
 	return nil
 }
@@ -124,10 +123,10 @@ func (w *meshWriter) send(p *peer, job sendJob) error {
 // dispatch hands every writer its tick's frames. The job channels are
 // unbuffered, but each writer is guaranteed idle here: wait consumed its
 // previous error before the caller dispatched again.
-func (wp *writerPool) dispatch(kind string, seq int, frames []sim.MuxFrame) {
+func (wp *writerPool) dispatch(tick int, frames []sim.MuxFrame) {
 	for id, jobs := range wp.jobs {
 		if jobs != nil {
-			jobs <- sendJob{kind: kind, seq: seq, frames: frames, peer: id}
+			jobs <- sendJob{tick: tick, frames: frames, peer: id}
 		}
 	}
 }
@@ -177,9 +176,9 @@ func (wp *writerPool) abortTick() {
 // half failed, so the join cannot hang on a writer blocked mid-write
 // toward a peer that stopped reading. The read error wins (it usually
 // names the root cause: the mesh going down); send errors already carry
-// the kind/seq tick label from the writer itself.
-func (wp *writerPool) exchange(kind string, seq int, frames []sim.MuxFrame, read func() error) error {
-	wp.dispatch(kind, seq, frames)
+// the tick label from the writer itself.
+func (wp *writerPool) exchange(tick int, frames []sim.MuxFrame, read func() error) error {
+	wp.dispatch(tick, frames)
 	readErr := read()
 	if readErr != nil {
 		wp.abortTick()
@@ -222,7 +221,7 @@ func (nd *Node) exchangeTick(wp *writerPool, tick int, frames []sim.MuxFrame, in
 			self[f] = nil
 		}
 	}
-	return wp.exchange("tick", tick, frames, func() error {
+	return wp.exchange(tick, frames, func() error {
 		for id, p := range nd.peers {
 			if id == nd.id {
 				continue

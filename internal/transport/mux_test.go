@@ -289,27 +289,3 @@ func TestJoinMeshWireDivergenceGuard(t *testing.T) {
 		t.Fatal("no node reported the frame instance/round mismatch wire guard")
 	}
 }
-
-// TestMeshPerRoundStatsOptIn: the runtime's per-round trail over the
-// mesh mirrors the other fabrics' — opt-in, aggregates always on.
-func TestMeshPerRoundStatsOptIn(t *testing.T) {
-	const n, window = 3, 2
-	rounds := []int{2, 2, 2}
-	muxes, _ := buildTagMuxes(t, n, window, rounds)
-	mesh, err := NewMesh(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = mesh.Close() }()
-	stats, err := fabric.Run(mesh, muxes, fabric.WithPerRoundStats())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sim.MuxTicks(rounds, window)
-	if len(stats.PerRound) != want {
-		t.Fatalf("opt-in per-round stats carried %d entries, want %d", len(stats.PerRound), want)
-	}
-	if stats.Messages == 0 || stats.Bytes == 0 {
-		t.Fatalf("aggregates missing: %+v", stats)
-	}
-}

@@ -1,22 +1,22 @@
 // Package transport runs the synchronous protocols over a real TCP mesh.
 //
-// internal/sim executes all processors inside one process; this package
-// provides the deployment story: every processor is a Node owning a TCP
+// The in-process fabrics keep every node inside one process; this package
+// provides the deployment story: every node is a Node owning a TCP
 // listener, fully connected to its peers, exchanging one frame per peer per
-// round. The synchronous model of the paper's Section 2 is realized as a
-// lockstep barrier — a node finishes round r only after it holds the
-// round-r frame of every peer — which is exactly the classical emulation of
-// a synchronous network on reliable FIFO channels. Byzantine behavior stays
-// at the payload layer (the same adversary wrappers work unchanged); the
-// transport itself is reliable, as the model requires.
+// active instance per tick. The synchronous model of the paper's Section 2
+// is realized as a lockstep barrier — a node finishes tick r only after it
+// holds the tick-r frames of every peer — which is exactly the classical
+// emulation of a synchronous network on reliable FIFO channels. Byzantine
+// behavior stays at the payload layer (the same adversary wrappers work
+// unchanged); the transport itself is reliable, as the model requires.
 //
 // Frames are length-prefixed on persistent connections:
 //
 //	uvarint(instance) uvarint(round) uvarint(len+1) payload...   // len+1 = 0 encodes "no message"
 //
 // The instance field lets one mesh carry a whole pipeline of concurrent
-// agreement instances (see Mesh and sim.Mux — the fabric runtime drives
-// multiplexed schedules over the mesh); single-instance runs use
+// agreement instances (see Mesh and sim.Mux — fabric.Run drives every
+// schedule over the mesh); a single-shot run (fabric.RunRounds) is
 // instance 0. Each ordered pair of nodes uses one direction of a
 // dedicated connection, so per-destination (two-faced) payloads work
 // naturally.
@@ -29,8 +29,6 @@ import (
 	"io"
 	"net"
 	"time"
-
-	"shiftgears/internal/sim"
 )
 
 // defaultDialRetry caps how long a node keeps retrying a peer's listener
@@ -50,18 +48,17 @@ const defaultReadBuf = 64 << 10
 // ticks fit in one block, so steady state performs no allocation at all.
 const minReadArena = 4 << 10
 
-// Node runs one sim.Processor over the mesh.
+// Node is one endpoint of the mesh: a listener plus one connection per
+// peer. It only moves frames; the schedule lives with the fabric runtime
+// that drives it (NewMesh, JoinMesh).
 type Node struct {
-	proc      sim.Processor
 	id        int
 	n         int
 	ln        net.Listener
 	peers     []*peer // indexed by peer id; nil at self
-	stats     sim.Stats
 	dialRetry time.Duration
 	sockBuf   int
 	readBuf   int
-	perRound  bool
 }
 
 // Option configures a Node.
@@ -94,14 +91,6 @@ func WithWriteBufferSize(bytes int) Option {
 // deliberately not touched — see WithWriteBufferSize.
 func WithReadBufferSize(bytes int) Option {
 	return func(nd *Node) { nd.readBuf = bytes }
-}
-
-// WithPerRoundStats records a RoundStats entry per round/tick in the
-// run's Stats. Off by default: aggregate totals are always maintained,
-// but the per-round trail grows with the schedule and is unbounded
-// memory on long logs.
-func WithPerRoundStats() Option {
-	return func(nd *Node) { nd.perRound = true }
 }
 
 // appendFrame appends one encoded frame to dst and returns it: the wire
@@ -183,21 +172,9 @@ func (p *peer) readFrame() (instance, round int, payload []byte, err error) {
 	return int(iu), int(ru), payload, nil
 }
 
-// Listen opens the node's listener on addr (e.g. "127.0.0.1:9001") for a
-// processor driven by the node's own Run loop. The returned node must
-// then Connect before Run.
-func Listen(proc sim.Processor, n int, addr string, opts ...Option) (*Node, error) {
-	nd, err := ListenNode(proc.ID(), n, addr, opts...)
-	if err != nil {
-		return nil, err
-	}
-	nd.proc = proc
-	return nd, nil
-}
-
-// ListenNode opens a processor-less mesh node — the transport endpoint a
-// fabric drives (JoinMesh, NewMesh): the schedule lives with the caller,
-// the node only moves frames. The returned node must Connect before use.
+// ListenNode opens mesh node id of an n-node cluster on addr (e.g.
+// "127.0.0.1:9001"; port 0 picks an ephemeral one). The returned node
+// must Connect before a fabric drives it (JoinMesh).
 func ListenNode(id, n int, addr string, opts ...Option) (*Node, error) {
 	if id < 0 || id >= n || n < 2 || n > 255 {
 		return nil, fmt.Errorf("transport: bad id/n: %d/%d", id, n)
@@ -298,97 +275,6 @@ func dialWithRetry(addr string, retry time.Duration) (net.Conn, error) {
 			return nil, err
 		}
 		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// Run executes rounds 1..rounds in lockstep with the mesh and returns
-// traffic statistics (from this node's perspective: frames it received).
-// Sends and receives overlap — one writer goroutine per peer (see
-// writerPool) — so the mesh cannot deadlock when a round's payload
-// exceeds the kernel socket buffers.
-func (nd *Node) Run(rounds int) (*sim.Stats, error) {
-	if nd.proc == nil {
-		return nil, fmt.Errorf("transport: node %d has no processor (built with ListenNode; drive it through a fabric instead)", nd.id)
-	}
-	if rounds < 1 {
-		return nil, fmt.Errorf("transport: round count %d must be positive", rounds)
-	}
-	inbox := make([][]byte, nd.n)
-	nd.stats = sim.Stats{}
-	frame := make([]sim.MuxFrame, 1)
-	wp := newWriterPool(nd)
-	defer wp.close()
-
-	for r := 1; r <= rounds; r++ {
-		outbox := nd.proc.PrepareRound(r)
-		if outbox != nil && len(outbox) != nd.n {
-			return nil, fmt.Errorf("transport: round %d: outbox has %d entries, want %d", r, len(outbox), nd.n)
-		}
-
-		// Our round-r frame rides as instance 0; self-delivery is direct,
-		// the writers push to the peers while the read closure collects
-		// from them (writerPool.exchange).
-		frame[0] = sim.MuxFrame{Instance: 0, Round: r, Outbox: outbox}
-		if outbox != nil {
-			inbox[nd.id] = outbox[nd.id]
-		} else {
-			inbox[nd.id] = nil
-		}
-
-		// Barrier: collect every peer's round-r frame. TCP is FIFO and each
-		// peer sends exactly one frame per round in order, so sequential
-		// reads suffice.
-		rs := sim.RoundStats{Round: r}
-		err := wp.exchange("round", r, frame, func() error {
-			for id, p := range nd.peers {
-				if id == nd.id {
-					countPayload(&rs, inbox[id])
-					continue
-				}
-				p.beginTick()
-				instance, round, payload, err := p.readFrame()
-				if err != nil {
-					return fmt.Errorf("transport: round %d: recv from %d: %w", r, id, err)
-				}
-				if instance != 0 {
-					return fmt.Errorf("transport: peer %d sent frame for instance %d in single-instance mode", id, instance)
-				}
-				if round != r {
-					return fmt.Errorf("transport: peer %d sent frame for round %d during round %d", id, round, r)
-				}
-				inbox[id] = payload
-				countPayload(&rs, payload)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-
-		nd.proc.DeliverRound(r, inbox)
-		nd.stats.Rounds = r
-		nd.stats.Messages += rs.Messages
-		nd.stats.Bytes += rs.Bytes
-		if rs.MaxPayload > nd.stats.MaxPayload {
-			nd.stats.MaxPayload = rs.MaxPayload
-		}
-		if nd.perRound {
-			nd.stats.PerRound = append(nd.stats.PerRound, rs)
-		}
-	}
-	out := nd.stats
-	out.PerRound = append([]sim.RoundStats(nil), nd.stats.PerRound...)
-	return &out, nil
-}
-
-func countPayload(rs *sim.RoundStats, payload []byte) {
-	if payload == nil {
-		return
-	}
-	rs.Messages++
-	rs.Bytes += len(payload)
-	if len(payload) > rs.MaxPayload {
-		rs.MaxPayload = len(payload)
 	}
 }
 

@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"shiftgears/internal/adversary"
 	"shiftgears/internal/core"
 	"shiftgears/internal/eigtree"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 	"shiftgears/internal/trace"
 )
@@ -121,17 +123,13 @@ func TestClusterLockstepDelivery(t *testing.T) {
 		raw[i] = &echoNode{id: i, n: n}
 		procs[i] = raw[i]
 	}
-	cluster, err := NewCluster(procs)
+	stats, err := runMesh(t, procs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
-	stats, err := cluster.Run(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Rounds != 3 {
-		t.Fatalf("rounds = %d", stats.Rounds)
+	// Cluster-wide traffic: every node hears every node, self included.
+	if stats.Rounds != 3 || stats.Messages != 3*n*n || stats.Bytes != 3*n*n*2 {
+		t.Fatalf("stats = %+v", stats)
 	}
 	for i, p := range raw {
 		if len(p.seen) != 3 {
@@ -179,12 +177,7 @@ func TestByzantineAgreementOverTCP(t *testing.T) {
 			procs[id] = rep
 		}
 	}
-	cluster, err := NewCluster(procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	if _, err := cluster.Run(plan.TotalRounds); err != nil {
+	if _, err := runMesh(t, procs, plan.TotalRounds); err != nil {
 		t.Fatal(err)
 	}
 
@@ -243,22 +236,22 @@ func TestTCPMatchesInProcess(t *testing.T) {
 	}
 
 	procsA, repsA := build()
-	nw, err := sim.NewNetwork(procsA)
+	simFab, err := fabric.NewSim(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Run(3); err != nil {
+	simStats, err := fabric.RunRounds(simFab, procsA, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	procsB, repsB := build()
-	cluster, err := NewCluster(procsB)
+	tcpStats, err := runMesh(t, procsB, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cluster.Close()
-	if _, err := cluster.Run(3); err != nil {
-		t.Fatal(err)
+	if *simStats != *tcpStats {
+		t.Fatalf("traffic: in-process %+v vs TCP %+v", *simStats, *tcpStats)
 	}
 
 	for id := range repsA {
@@ -271,10 +264,11 @@ func TestTCPMatchesInProcess(t *testing.T) {
 }
 
 // rawPeerRun wires a 2-node mesh where peer 1 is a hand-driven socket, so
-// tests can inject arbitrary frames into node 0's single-instance Run.
+// tests can inject arbitrary frames into node 0's one-instance schedule
+// (JoinMesh + fabric.RunRounds, the multi-process shape).
 func rawPeerRun(t *testing.T, frame []byte) error {
 	t.Helper()
-	node, err := Listen(&echoNode{id: 0, n: 2}, 2, "127.0.0.1:0")
+	node, err := ListenNode(0, 2, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +282,7 @@ func rawPeerRun(t *testing.T, frame []byte) error {
 			done <- err
 			return
 		}
-		conns <- conn                                    // closed by the test after Run returns
+		conns <- conn                                    // closed by the test after the run returns
 		if _, err := conn.Write([]byte{1}); err != nil { // handshake: we are id 1
 			done <- err
 			return
@@ -307,26 +301,30 @@ func rawPeerRun(t *testing.T, frame []byte) error {
 	if err := node.Connect([]string{node.Addr(), "unused"}); err != nil {
 		t.Fatal(err)
 	}
-	_, runErr := node.Run(1)
+	mesh := JoinMesh(node)
+	defer func() { _ = mesh.Close() }()
+	_, runErr := fabric.RunRounds(mesh, []sim.Processor{&echoNode{id: 0, n: 2}}, 1)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	return runErr
 }
 
-// TestRunRejectsInstanceMismatch: a frame tagged with a non-zero instance
-// id must fail a single-instance run (round/instance mismatch handling).
+// TestRunRejectsInstanceMismatch: a frame tagged with a forged instance
+// id must fail a one-instance run (round/instance mismatch handling).
 func TestRunRejectsInstanceMismatch(t *testing.T) {
-	if err := rawPeerRun(t, appendFrame(nil, 5, 1, []byte{1, 1})); err == nil {
-		t.Fatal("instance mismatch accepted")
+	err := rawPeerRun(t, appendFrame(nil, 5, 1, []byte{1, 1}))
+	if err == nil || !strings.Contains(err.Error(), "sent frame (instance 5, round 1)") {
+		t.Fatalf("instance mismatch not rejected by the wire guard: %v", err)
 	}
 }
 
 // TestRunRejectsRoundMismatch: a frame for the wrong round must fail the
 // lockstep barrier.
 func TestRunRejectsRoundMismatch(t *testing.T) {
-	if err := rawPeerRun(t, appendFrame(nil, 0, 9, []byte{1, 1})); err == nil {
-		t.Fatal("round mismatch accepted")
+	err := rawPeerRun(t, appendFrame(nil, 0, 9, []byte{1, 1}))
+	if err == nil || !strings.Contains(err.Error(), "sent frame (instance 0, round 9)") {
+		t.Fatalf("round mismatch not rejected by the wire guard: %v", err)
 	}
 }
 
@@ -341,7 +339,7 @@ func TestDialRetryOption(t *testing.T) {
 	dead := ln.Addr().String()
 	_ = ln.Close()
 
-	node, err := Listen(&echoNode{id: 1, n: 2}, 2, "127.0.0.1:0", WithDialRetry(50*time.Millisecond))
+	node, err := ListenNode(1, 2, "127.0.0.1:0", WithDialRetry(50*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,22 +354,17 @@ func TestDialRetryOption(t *testing.T) {
 }
 
 func TestListenValidation(t *testing.T) {
-	if _, err := Listen(&echoNode{id: 5, n: 4}, 4, "127.0.0.1:0"); err == nil {
+	if _, err := ListenNode(5, 4, "127.0.0.1:0"); err == nil {
 		t.Error("id ≥ n accepted")
 	}
-	if _, err := Listen(&echoNode{id: 0, n: 1}, 1, "127.0.0.1:0"); err == nil {
+	if _, err := ListenNode(0, 1, "127.0.0.1:0"); err == nil {
 		t.Error("n < 2 accepted")
 	}
 }
 
 func TestNodeRejectsBadOutbox(t *testing.T) {
 	procs := []sim.Processor{&badOutboxNode{0}, &badOutboxNode{1}}
-	cluster, err := NewCluster(procs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Close()
-	if _, err := cluster.Run(1); err == nil {
+	if _, err := runMesh(t, procs, 1); err == nil {
 		t.Fatal("malformed outbox accepted")
 	}
 }

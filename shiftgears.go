@@ -9,6 +9,7 @@ import (
 	"shiftgears/internal/core"
 	"shiftgears/internal/eigtree"
 	"shiftgears/internal/extensions"
+	"shiftgears/internal/fabric"
 	"shiftgears/internal/sim"
 	"shiftgears/internal/trace"
 )
@@ -121,8 +122,9 @@ type Config struct {
 	Strategy string
 	// Seed drives all adversary randomness deterministically.
 	Seed int64
-	// Parallel selects the goroutine-per-processor engine; results are
-	// identical to the sequential engine.
+	// Parallel fans each round's processor calls across one goroutine per
+	// processor (fabric.WithParallel); results are identical to the
+	// sequential run.
 	Parallel bool
 	// CollectEvents includes the merged protocol event timeline in the
 	// Result.
@@ -330,20 +332,26 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	var opts []sim.Option
-	if cfg.Parallel {
-		opts = append(opts, sim.Parallel())
-	}
-	nw, err := sim.NewNetwork(procs, opts...)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := nw.Run(info.rounds)
+	stats, err := runRounds(procs, info.rounds, cfg.Parallel)
 	if err != nil {
 		return nil, err
 	}
 
 	return assemble(cfg, info, replicas, logs, stats, faulty)
+}
+
+// runRounds drives a single-shot run in-process: one window-1 schedule per
+// processor over fabric.RunRounds, fanned across goroutines when parallel.
+func runRounds(procs []sim.Processor, rounds int, parallel bool) (*sim.Stats, error) {
+	f, err := fabric.NewSim(len(procs))
+	if err != nil {
+		return nil, err
+	}
+	var opts []fabric.Option
+	if parallel {
+		opts = append(opts, fabric.WithParallel())
+	}
+	return fabric.RunRounds(f, procs, rounds, opts...)
 }
 
 func assemble(cfg Config, info planInfo, replicas []protocol, logs []*trace.Log, stats *sim.Stats, faulty map[int]bool) (*Result, error) {

@@ -98,15 +98,7 @@ func RunVector(cfg VectorConfig) (*VectorResult, error) {
 		}
 	}
 
-	var opts []sim.Option
-	if cfg.Parallel {
-		opts = append(opts, sim.Parallel())
-	}
-	nw, err := sim.NewNetwork(procs, opts...)
-	if err != nil {
-		return nil, err
-	}
-	stats, err := nw.Run(env.Rounds())
+	stats, err := runRounds(procs, env.Rounds(), cfg.Parallel)
 	if err != nil {
 		return nil, err
 	}
